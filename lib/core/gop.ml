@@ -311,6 +311,38 @@ module Values = struct
 
   let of_codes (a : int array) : t = a
 
+  (* [m] lies strictly below [m'] iff it defines fewer atoms and [m']
+     agrees with it on every atom it defines.  Atoms that every candidate
+     defines with the same value cannot separate two candidates, so each
+     one is compared on its [support] — the rest of its defined atoms —
+     only: for the enumerations' leaves that is just the branch atoms,
+     not the shared least fixpoint. *)
+  let maximal (ms : t list) =
+    match ms with
+    | [] | [ _ ] -> ms
+    | m0 :: rest ->
+      let common = Array.copy m0 in
+      List.iter
+        (fun m ->
+          Array.iteri (fun i c -> if c <> m.(i) then common.(i) <- 0) common)
+        rest;
+      let support m =
+        let acc = ref [] in
+        for i = Array.length m - 1 downto 0 do
+          if m.(i) <> 0 && common.(i) = 0 then acc := i :: !acc
+        done;
+        Array.of_list !acc
+      in
+      let cands = List.map (fun m -> (m, support m)) ms in
+      let below (m, s) (m', s') =
+        Array.length s < Array.length s'
+        && Array.for_all (fun i -> m'.(i) = m.(i)) s
+      in
+      List.filter_map
+        (fun ((m, _) as c) ->
+          if List.exists (below c) cands then None else Some m)
+        cands
+
   let of_interp (g : gop) interp =
     let v = create g in
     let extra = ref [] in

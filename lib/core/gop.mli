@@ -156,5 +156,15 @@ module Values : sig
       the live array with no per-leaf translation.  The caller must keep
       the codes in range. *)
 
+  val maximal : t list -> t list
+  (** The [⊆]-maximal assignments of the list, in list order, read as
+      sets of literals: [m] is dropped iff some [m'] in the list defines
+      more atoms and agrees with [m] on every atom [m] defines.  Equal
+      duplicates do not drop each other.  All assignments must be over
+      the same ground program.  This is the stable-model filter
+      (Definition 9) of every production enumeration ({!Stable},
+      [Solve.Kernel]); it compares code arrays, and callers convert only
+      the survivors with {!to_interp}. *)
+
   val to_interp : gop -> t -> Logic.Interp.t
 end

@@ -1,10 +1,11 @@
 open Logic
 
-(* Definition 3 on an encoded assignment; [extra] literals (atoms outside
-   the ground program) satisfy both conditions vacuously. *)
-let check_conditions (g : Gop.t) v =
-  let bad = ref [] in
-  let name i = Program.component_name g.Gop.program g.Gop.rules.(i).comp in
+(* Definition 3 on an encoded assignment, passing each violation to
+   [bad]: [`A (a, i)] when the defined literal on atom [a] is
+   contradicted by rule [i], [`B (a, i)] when [a] is undefined but rule
+   [i] about it may fire.  [extra] literals (atoms outside the ground
+   program) satisfy both conditions vacuously. *)
+let iter_violations (g : Gop.t) v bad =
   (* (a): defined literals must not be contradicted, except through
      blocking or overruling by an applied rule. *)
   Array.iteri
@@ -13,23 +14,15 @@ let check_conditions (g : Gop.t) v =
         let pol = Gop.Values.value v a = Interp.True in
         List.iter
           (fun i ->
-            if g.Gop.rules.(i).head_pol = not pol then
+            if
               (* H(r_i) = -A *)
-              let ok =
-                Status.blocked g v i
-                || List.exists
-                     (fun j -> Status.applied g v j)
-                     g.Gop.overrulers.(i)
-              in
-              if not ok then
-                bad :=
-                  Format.asprintf
-                    "condition (a): %a is in M but rule %a [%s] is neither \
-                     blocked nor overruled by an applied rule"
-                    Literal.pp
-                    (Literal.make pol g.Gop.atoms.(a))
-                    Rule.pp (Gop.rule_src g i) (name i)
-                  :: !bad)
+              g.Gop.rules.(i).head_pol = not pol
+              && (not (Status.blocked g v i))
+              && not
+                   (List.exists
+                      (fun j -> Status.applied g v j)
+                      g.Gop.overrulers.(i))
+            then bad (`A (a, i)))
           g.Gop.by_head.(a)
       end
       else
@@ -41,23 +34,44 @@ let check_conditions (g : Gop.t) v =
               Status.applicable g v i
               && (not (Status.overruled g v i))
               && not (Status.defeated g v i)
-            then
-              bad :=
-                Format.asprintf
-                  "condition (b): atom %a is undefined but rule %a [%s] is \
-                   applicable and neither overruled nor defeated"
-                  Atom.pp g.Gop.atoms.(a) Rule.pp (Gop.rule_src g i) (name i)
-                :: !bad)
+            then bad (`B (a, i)))
           g.Gop.by_head.(a))
-    g.Gop.atoms;
-  List.rev !bad
+    g.Gop.atoms
 
 let violations g interp =
   let v, _extra = Gop.Values.of_interp g interp in
-  check_conditions g v
+  let name i = Program.component_name g.Gop.program g.Gop.rules.(i).comp in
+  let bad = ref [] in
+  iter_violations g v (function
+    | `A (a, i) ->
+      bad :=
+        Format.asprintf
+          "condition (a): %a is in M but rule %a [%s] is neither blocked \
+           nor overruled by an applied rule"
+          Literal.pp
+          (Literal.make (Gop.Values.value v a = Interp.True) g.Gop.atoms.(a))
+          Rule.pp (Gop.rule_src g i) (name i)
+        :: !bad
+    | `B (a, i) ->
+      bad :=
+        Format.asprintf
+          "condition (b): atom %a is undefined but rule %a [%s] is \
+           applicable and neither overruled nor defeated"
+          Atom.pp g.Gop.atoms.(a) Rule.pp (Gop.rule_src g i) (name i)
+        :: !bad);
+  List.rev !bad
 
-let is_model_v g v = check_conditions g v = []
-let is_model g interp = violations g interp = []
+exception Violation
+
+(* The search leaves' check: stop at the first violation and format
+   nothing — the enumerations reject most of their leaves, and only
+   [violations] needs the messages. *)
+let is_model_v g v =
+  match iter_violations g v (fun _ -> raise_notrace Violation) with
+  | () -> true
+  | exception Violation -> false
+
+let is_model g interp = is_model_v g (fst (Gop.Values.of_interp g interp))
 
 (* Definition 8 says "all applied rules"; that makes Theorem 1(a) false
    when an applied rule is itself overruled or defeated (its head would
@@ -119,7 +133,7 @@ let enabled_fixpoint ?semantics (g : Gop.t) v =
   out
 
 let is_assumption_free_v ?semantics g v =
-  check_conditions g v = []
+  is_model_v g v
   && Gop.Values.equal (enabled_fixpoint ?semantics g v) v
 
 let is_assumption_free ?semantics g interp =

@@ -21,7 +21,9 @@ val is_model : Gop.t -> Logic.Interp.t -> bool
 val is_model_v : Gop.t -> Gop.Values.t -> bool
 (** {!is_model} directly on an encoded assignment — the form used by the
     enumeration engines, which keep their candidates encoded and only
-    convert accepted models to symbolic interpretations. *)
+    convert accepted models to symbolic interpretations.  It stops at the
+    first violated condition and formats no message, so it is the cheap
+    leaf check; it agrees with {!violations} being empty. *)
 
 val violations : Gop.t -> Logic.Interp.t -> string list
 (** Human-readable reasons why the interpretation fails Definition 3

@@ -132,12 +132,14 @@ let rec node s i =
       end
   end
 
-let assumption_free_models ?limit ?(budget = Budget.unlimited) ?stats
+(* The search proper, keeping every assumption-free leaf as its code
+   array ([Vfix.propagate] hands each node a fresh one).  Anytime:
+   exhaustion mid-search (at a node or inside a propagation) surrenders
+   the models found so far, tagged with the reason.  The search order is
+   deterministic, so a partial result is a prefix of the unbudgeted
+   enumeration. *)
+let assumption_free_codes ?limit ?(budget = Budget.unlimited) ?stats
     (g : Gop.t) =
-  (* Anytime: exhaustion mid-search (at a node or inside a propagation)
-     surrenders the models found so far, tagged with the reason.  The
-     search order is deterministic, so a partial result is a prefix of
-     the unbudgeted enumeration. *)
   let stats = match stats with Some s -> s | None -> Counters.create () in
   let acc = ref [] in
   let count = ref 0 in
@@ -162,7 +164,7 @@ let assumption_free_models ?limit ?(budget = Budget.unlimited) ?stats
             if Model.is_assumption_free_v g v then begin
               incr count;
               stats.models <- stats.models + 1;
-              acc := Gop.Values.to_interp g v :: !acc
+              acc := v :: !acc
             end)
       }
     in
@@ -170,17 +172,16 @@ let assumption_free_models ?limit ?(budget = Budget.unlimited) ?stats
     Budget.Complete (List.rev !acc)
   with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
 
-let maximal models =
-  List.filter
-    (fun m ->
-      not
-        (List.exists
-           (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
-           models))
-    models
+let assumption_free_models ?limit ?budget ?stats g =
+  Budget.map
+    (List.map (Gop.Values.to_interp g))
+    (assumption_free_codes ?limit ?budget ?stats g)
 
+(* Maximality on the code arrays; only the survivors become [Interp.t]. *)
 let stable_models ?limit ?budget ?stats g =
-  Budget.map maximal (assumption_free_models ?limit ?budget ?stats g)
+  Budget.map
+    (fun vs -> List.map (Gop.Values.to_interp g) (Gop.Values.maximal vs))
+    (assumption_free_codes ?limit ?budget ?stats g)
 
 (* The pre-propagation enumerator: assign every undecided head atom and
    check [Model.is_assumption_free] only at complete leaves.  It visits
@@ -189,6 +190,17 @@ let stable_models ?limit ?budget ?stats g =
    sets, same counts under [?limit]) and the baseline of the benchmark
    trajectory — not dead code. *)
 module Naive = struct
+  (* Definition 9 read directly on interpretations: the oracle for the
+     code-level [Gop.Values.maximal] of the production enumerations. *)
+  let maximal models =
+    List.filter
+      (fun m ->
+        not
+          (List.exists
+             (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
+             models))
+      models
+
   let assumption_free_models ?limit ?(budget = Budget.unlimited) ?stats
       (g : Gop.t) =
     let stats = match stats with Some s -> s | None -> Counters.create () in

@@ -58,7 +58,10 @@ val stable_models :
     underlying assumption-free enumeration.  [limit] caps that underlying
     enumeration (so with a limit the result may miss stable models but
     every returned model is assumption-free and maximal among those
-    enumerated); the same caveat applies to [Partial] results. *)
+    enumerated); the same caveat applies to [Partial] results.
+    Maximality is computed on the search's encoded leaves by
+    {!Gop.Values.maximal}; only the maximal ones are converted to
+    interpretations. *)
 
 (** The pre-propagation enumerator: branch on every undecided head atom
     and check assumption-freeness only at complete leaves.  Kept as the
@@ -75,6 +78,13 @@ module Naive : sig
   val stable_models :
     ?limit:int -> ?budget:Budget.t -> ?stats:Counters.t -> Gop.t ->
     Logic.Interp.t list Budget.anytime
+  (** {!maximal} of {!Naive.assumption_free_models}. *)
+
+  val maximal : Logic.Interp.t list -> Logic.Interp.t list
+  (** Definition 9's filter on interpretations, in list order: drop [m]
+      iff another model of the list properly contains it.  The
+      differential oracle for {!Gop.Values.maximal}, which the pruned and
+      compiled enumerations use. *)
 end
 
 val is_stable : ?budget:Budget.t -> Gop.t -> Logic.Interp.t -> bool

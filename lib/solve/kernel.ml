@@ -448,22 +448,19 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
     let full () =
       match limit with Some l -> !count >= l | None -> false
     in
-    let emit =
+    (* Leaves are kept as copies of the live code array; the callers
+       below convert them (or, for stable models, only the maximal ones). *)
+    let accepts =
       match mode with
-      | Af ->
-        fun () ->
-          if Model.is_assumption_free_v g vals then begin
-            incr count;
-            stats.Counters.models <- stats.Counters.models + 1;
-            acc := Gop.Values.to_interp g vals :: !acc
-          end
-      | Total ->
-        fun () ->
-          if Model.is_model_v g vals then begin
-            incr count;
-            stats.Counters.models <- stats.Counters.models + 1;
-            acc := Gop.Values.to_interp g vals :: !acc
-          end
+      | Af -> Model.is_assumption_free_v g
+      | Total -> Model.is_model_v g
+    in
+    let emit () =
+      if accepts vals then begin
+        incr count;
+        stats.Counters.models <- stats.Counters.models + 1;
+        acc := Gop.Values.copy vals :: !acc
+      end
     in
     let s =
       { f;
@@ -544,20 +541,14 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
     Budget.Complete (List.rev !acc)
   with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
 
-let assumption_free_models ?limit ?budget ?stats ?flat g =
-  search Af ?limit ?budget ?stats ?flat g
+let to_interps g = Budget.map (List.map (Gop.Values.to_interp g))
 
-let maximal models =
-  List.filter
-    (fun m ->
-      not
-        (List.exists
-           (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
-           models))
-    models
+let assumption_free_models ?limit ?budget ?stats ?flat g =
+  to_interps g (search Af ?limit ?budget ?stats ?flat g)
 
 let stable_models ?limit ?budget ?stats ?flat g =
-  Budget.map maximal (assumption_free_models ?limit ?budget ?stats ?flat g)
+  to_interps g
+    (Budget.map Gop.Values.maximal (search Af ?limit ?budget ?stats ?flat g))
 
 let total_models ?limit ?budget ?stats ?flat g =
-  search Total ?limit ?budget ?stats ?flat g
+  to_interps g (search Total ?limit ?budget ?stats ?flat g)

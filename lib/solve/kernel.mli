@@ -36,6 +36,11 @@ val stable_models :
   ?flat:Flat.t ->
   Ordered.Gop.t ->
   Logic.Interp.t list Ordered.Budget.anytime
+(** The maximal elements of {!assumption_free_models}, in its order.
+    Maximality is computed on the kernel's encoded leaves by
+    {!Ordered.Gop.Values.maximal} — the same filter as
+    {!Ordered.Stable.stable_models} — and only the maximal leaves are
+    converted to interpretations. *)
 
 val total_models :
   ?limit:int ->

@@ -11,7 +11,11 @@
    - each engine's [?limit:k] result is exactly the first k of its own
      unlimited enumeration (the documented search-order contract);
    - [stable_models ?limit] is the maximal subset of the same engine's
-     limited assumption-free enumeration;
+     limited assumption-free enumeration, and for the pruned and compiled
+     engines (which filter on code arrays) exactly the
+     interpretation-level [Stable.Naive.maximal] of it, in order;
+   - the short-circuiting leaf check [Model.is_model_v] agrees with
+     [Model.violations] on random assignments;
    - the pruned search only emits assumption-free models and starts with
      the least model;
    - on compiled preference programs ([Prefer.Compile]), the compiled
@@ -188,17 +192,104 @@ let prop_stable_limit_consistent =
       return (p, k))
     (fun (p, k) ->
       let g = gop_of p in
-      let maximal models =
-        List.filter
-          (fun m ->
-            not
-              (List.exists
-                 (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
-                 models))
-          models
+      interp_set_equal (st_pruned ~limit:k g)
+        (S.Naive.maximal (af_pruned ~limit:k g))
+      && interp_set_equal (st_naive ~limit:k g)
+           (S.Naive.maximal (af_naive ~limit:k g)))
+
+(* The production engines filter maximality on code arrays
+   ([Gop.Values.maximal]); the interpretation-level filter kept as the
+   oracle must select the same models in the same order, from the same
+   engine's enumeration, limited or not. *)
+let prop_code_maximal =
+  qcheck
+    ~count:(iters "code-maximal" 300)
+    ~print:(fun (p, k) -> Printf.sprintf "%s limit=%d" (print_program p) k)
+    "code-level stable filter = interpretation-level maximal, in order"
+    Gen.(
+      let* p = Test_props.gen_ordered 4 in
+      let* k = int_bound 4 in
+      return (p, k))
+    (fun (p, k) ->
+      let g = gop_of p in
+      let agrees af st =
+        interp_list_equal (st ?limit:None g) (S.Naive.maximal (af ?limit:None g))
+        && interp_list_equal (st ?limit:(Some k) g)
+             (S.Naive.maximal (af ?limit:(Some k) g))
       in
-      interp_set_equal (st_pruned ~limit:k g) (maximal (af_pruned ~limit:k g))
-      && interp_set_equal (st_naive ~limit:k g) (maximal (af_naive ~limit:k g)))
+      agrees (fun ?limit g -> af_pruned ?limit g)
+        (fun ?limit g -> st_pruned ?limit g)
+      && agrees (fun ?limit g -> af_comp ?limit g)
+           (fun ?limit g -> st_comp ?limit g))
+
+(* The same agreement on arbitrary lists of assignments, not only on the
+   enumerations' leaves (which always share the least model, so every
+   atom defined in the first leaf is defined alike in all of them). *)
+let prop_code_maximal_any =
+  qcheck
+    ~count:(iters "code-maximal-any" 300)
+    ~print:(fun (p, codes) ->
+      Printf.sprintf "%s codes=[%s]" (print_program p)
+        (String.concat "|"
+           (List.map
+              (fun c -> String.concat ";" (List.map string_of_int c))
+              codes)))
+    "code-level maximal = interpretation-level maximal on any list"
+    Gen.(
+      let* p = Test_props.gen_ordered 4 in
+      let* codes =
+        list_size (int_range 0 8) (list_size (int_range 1 6) (int_bound 2))
+      in
+      return (p, codes))
+    (fun (p, codes) ->
+      let g = gop_of p in
+      let n = Ordered.Gop.n_atoms g in
+      let assignment c =
+        let c = Array.of_list c in
+        Ordered.Gop.Values.of_codes
+          (Array.init n (fun a -> c.(a mod Array.length c)))
+      in
+      let vs = List.map assignment codes in
+      let interps = List.map (Ordered.Gop.Values.to_interp g) in
+      interp_list_equal
+        (interps (Ordered.Gop.Values.maximal vs))
+        (S.Naive.maximal (interps vs)))
+
+(* The search leaves use the short-circuiting [Model.is_model_v]; it must
+   agree with the message-building check behind [Model.violations].
+   Assignments are random codes, once as they come and once laid over the
+   least model's undefined atoms (so that models turn up as well). *)
+let prop_leaf_check =
+  qcheck
+    ~count:(iters "leaf-check" 400)
+    ~print:(fun (p, codes) ->
+      Printf.sprintf "%s codes=[%s]" (print_program p)
+        (String.concat ";" (List.map string_of_int codes)))
+    "boolean leaf check = no Definition 3 violations"
+    Gen.(
+      let* p = Test_props.gen_ordered 4 in
+      let* codes = list_size (int_range 1 16) (int_bound 2) in
+      return (p, codes))
+    (fun (p, codes) ->
+      let g = gop_of p in
+      let codes = Array.of_list codes in
+      let code a = codes.(a mod Array.length codes) in
+      let n = Ordered.Gop.n_atoms g in
+      let lfp = Ordered.Vfix.lfp g in
+      let over = Ordered.Gop.Values.copy lfp in
+      let random = Ordered.Gop.Values.create g in
+      for a = 0 to n - 1 do
+        if code a > 0 then begin
+          Ordered.Gop.Values.set random a (code a = 1);
+          if not (Ordered.Gop.Values.defined lfp a) then
+            Ordered.Gop.Values.set over a (code a = 1)
+        end
+      done;
+      let agrees v =
+        Ordered.Model.is_model_v g v
+        = (Ordered.Model.violations g (Ordered.Gop.Values.to_interp g v) = [])
+      in
+      agrees random && agrees over && agrees lfp)
 
 let prop_pruned_sound =
   qcheck ~count:150 ~print:print_program
@@ -240,6 +331,9 @@ let suite =
     prop_limit_counts;
     prop_limit_prefix;
     prop_stable_limit_consistent;
+    prop_code_maximal;
+    prop_code_maximal_any;
+    prop_leaf_check;
     prop_pruned_sound;
     prop_compiled_prefer
   ]

@@ -96,6 +96,52 @@ let test_cautious_brave () =
   Alcotest.(check bool) "least model below cautious consequences" true
     (Interp.subset (Ordered.Vfix.least_model g) cc)
 
+let loops4_src =
+  {| component cwa { -p0. -q0. -p1. -q1. -p2. -q2. -p3. -q3. }
+     component main extends cwa {
+       p0 :- -q0. q0 :- -p0.  p1 :- -q1. q1 :- -p1.
+       p2 :- -q2. q2 :- -p2.  p3 :- -q3. q3 :- -p3.
+     } |}
+
+(* Four even loops over closed-world defaults: each loop stays open or
+   closes either way, so 3^4 = 81 assumption-free models, and the
+   2^4 = 16 with every loop closed are the stable ones.  Both production
+   engines filter maximality on their encoded leaves; the result must be
+   the interpretation-level oracle filter of the same enumeration, in
+   order, and the search must be the same one the assumption-free
+   enumeration runs (counters pinned, as in the CLI tests). *)
+let test_even_loops () =
+  let g = ground_at (program loops4_src) "main" in
+  let run name af st ~nodes =
+    let c_af = Ordered.Counters.create () in
+    let c_st = Ordered.Counters.create () in
+    let af = Ordered.Budget.value (af ~stats:c_af g) in
+    let st = Ordered.Budget.value (st ~stats:c_st g) in
+    Alcotest.(check int) (name ^ ": assumption-free") 81 (List.length af);
+    Alcotest.(check int) (name ^ ": stable") 16 (List.length st);
+    Alcotest.(check (list testable_interp))
+      (name ^ ": stable = oracle maximal, in order")
+      (Ordered.Stable.Naive.maximal af) st;
+    Alcotest.(check bool) (name ^ ": every loop closed") true
+      (List.for_all (fun m -> Interp.cardinal m = 8) st);
+    Alcotest.(check int) (name ^ ": nodes") nodes c_st.Ordered.Counters.nodes;
+    Alcotest.(check bool) (name ^ ": same search as assumption-free") true
+      (c_af = c_st);
+    (af, st)
+  in
+  let pruned =
+    run "pruned" ~nodes:241
+      (fun ~stats g -> Ordered.Stable.assumption_free_models ~stats g)
+      (fun ~stats g -> Ordered.Stable.stable_models ~stats g)
+  in
+  let compiled =
+    run "compiled" ~nodes:169
+      (fun ~stats g -> Solve.Kernel.assumption_free_models ~stats g)
+      (fun ~stats g -> Solve.Kernel.stable_models ~stats g)
+  in
+  Alcotest.(check (pair (list testable_interp) (list testable_interp)))
+    "pruned = compiled, in order" pruned compiled
+
 let suite =
   [ Alcotest.test_case "Example 5: two stable models" `Quick
       test_example5_stable_models;
@@ -108,5 +154,7 @@ let suite =
     Alcotest.test_case "stable models are assumption-free models" `Quick
       test_stable_models_are_assumption_free_models;
     Alcotest.test_case "cautious and brave entailment" `Quick
-      test_cautious_brave
+      test_cautious_brave;
+    Alcotest.test_case "four even loops: 81 assumption-free, 16 stable"
+      `Quick test_even_loops
   ]
