@@ -205,38 +205,43 @@ let mix =
   |]
 
 (* hammer every node at once: per-node QPS under contention sums to the
-   aggregate a load balancer over the tree would see *)
+   aggregate a load balancer over the tree would see.  Each node's QPS is
+   taken over its own clients' span, from the first one's start to the
+   last one's finish. *)
 let chain_reads ~clients ~per_client targets =
-  let results =
-    List.map (fun (target, addr) -> (target, addr, ref 0.)) targets
-  in
-  let elapsed =
-    time (fun () ->
+  let spans =
+    List.map
+      (fun (target, addr) ->
+        let start = Array.make clients 0. and finish = Array.make clients 0. in
         let threads =
-          List.concat_map
-            (fun (_, addr, _) ->
-              List.init clients (fun ci ->
-                  Thread.create
-                    (fun () ->
-                      let c = connect addr in
-                      for i = 0 to per_client - 1 do
-                        ignore
-                          (roundtrip c mix.((ci + i) mod Array.length mix))
-                      done;
-                      Server.Client.close c)
-                    ()))
-            results
+          List.init clients (fun ci ->
+              Thread.create
+                (fun () ->
+                  start.(ci) <- Unix.gettimeofday ();
+                  let c = connect addr in
+                  for i = 0 to per_client - 1 do
+                    ignore (roundtrip c mix.((ci + i) mod Array.length mix))
+                  done;
+                  Server.Client.close c;
+                  finish.(ci) <- Unix.gettimeofday ())
+                ())
         in
-        List.iter Thread.join threads)
+        (target, start, finish, threads))
+      targets
   in
   List.map
-    (fun (target, _, _) ->
+    (fun (target, start, finish, threads) ->
+      List.iter Thread.join threads;
+      let elapsed =
+        Array.fold_left max neg_infinity finish
+        -. Array.fold_left min infinity start
+      in
       { target;
         clients;
         requests = clients * per_client;
         qps = float_of_int (clients * per_client) /. elapsed
       })
-    results
+    spans
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

@@ -19,21 +19,12 @@ let poset prog =
     (fun n -> Buffer.add_string buf (Printf.sprintf "  \"%s\";\n" (escape n)))
     names;
   let p = Program.poset prog in
-  let n = Array.length names in
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      if
-        Poset.lt p a b
-        && not
-             (List.exists
-                (fun c -> Poset.lt p a c && Poset.lt p c b)
-                (List.init n Fun.id))
-      then
-        Buffer.add_string buf
-          (Printf.sprintf "  \"%s\" -> \"%s\";\n" (escape names.(a))
-             (escape names.(b)))
-    done
-  done;
+  List.iter
+    (fun (a, b) ->
+      Buffer.add_string buf
+        (Printf.sprintf "  \"%s\" -> \"%s\";\n" (escape names.(a))
+           (escape names.(b))))
+    (Poset.covers p);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 

@@ -118,19 +118,11 @@ let to_ast t =
   in
   (* Emit the covering relation (transitive reduction), so printing and
      re-parsing reproduces the same poset without redundant pairs. *)
-  let pairs = ref [] in
-  let n = Array.length t.names in
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      if
-        Poset.lt t.poset a b
-        && not
-             (List.exists
-                (fun c -> Poset.lt t.poset a c && Poset.lt t.poset c b)
-                (List.init n Fun.id))
-      then pairs := (t.names.(a), t.names.(b)) :: !pairs
-    done
-  done;
-  comps @ (if !pairs = [] then [] else [ Lang.Ast.Order (List.rev !pairs) ])
+  let pairs =
+    List.map
+      (fun (a, b) -> (t.names.(a), t.names.(b)))
+      (Poset.covers t.poset)
+  in
+  comps @ (if pairs = [] then [] else [ Lang.Ast.Order pairs ])
 
 let pp ppf t = Lang.Ast.pp ppf (to_ast t)

@@ -53,30 +53,6 @@ let csr_of_lists n rows =
   done;
   (off, payload)
 
-(* Rank of a component in the order: 0 for minimal components, otherwise
-   one more than the highest-ranked component strictly below.  The rank
-   vector is what the kernel keeps of the component order at runtime —
-   the suppression edges already encode who beats whom, and the ranks
-   give each suppressor list a deterministic lowest-component-first
-   layout (overruling components sort before same-level defeaters). *)
-let ranks_of poset n =
-  let rank = Array.make n 0 in
-  (* ids are few; a fixpoint over the strict order terminates because the
-     order is acyclic *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        if Ordered.Poset.lt poset a b && rank.(b) < rank.(a) + 1 then begin
-          rank.(b) <- rank.(a) + 1;
-          changed := true
-        end
-      done
-    done
-  done;
-  rank
-
 let compile (g : Ordered.Gop.t) =
   let n_atoms = Ordered.Gop.n_atoms g in
   let n_rules = Ordered.Gop.n_rules g in
@@ -116,12 +92,16 @@ let compile (g : Ordered.Gop.t) =
       (Array.map (fun l -> List.sort compare l) g.Ordered.Gop.by_head)
   in
   (* component ranks, then suppressor lists lowest rank first (overrulers
-     sit strictly below, so they come before same-level defeaters) *)
+     sit strictly below, so they come before same-level defeaters).  The
+     rank vector is what the kernel keeps of the component order at
+     runtime: the suppression edges already encode who beats whom, and
+     the ranks give each suppressor list a deterministic layout. *)
   let poset = Ordered.Program.poset g.Ordered.Gop.program in
-  let comp_rank = ranks_of poset (Ordered.Poset.size poset) in
   let rank =
     Array.init (max 1 n_rules) (fun i ->
-        if i < n_rules then comp_rank.(g.Ordered.Gop.rules.(i).comp) else 0)
+        if i < n_rules then
+          Ordered.Poset.rank poset g.Ordered.Gop.rules.(i).comp
+        else 0)
   in
   let sup_rows =
     Array.init (max 1 n_rules) (fun i ->

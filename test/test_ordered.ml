@@ -37,6 +37,26 @@ let test_poset_queries () =
   Alcotest.(check (list int)) "minimal" [ 0; 3 ] (Poset.minimal t);
   Alcotest.(check (list int)) "maximal" [ 1; 2; 3 ] (Poset.maximal t)
 
+(* The order of the paper's Section 5 object reading: [cwa] above
+   [base], and 2,000 objects directly below [base].  Every object sees
+   two ancestors, so the stored order must grow with the objects, not
+   with their square (a dense n x n closure is ~n words per id). *)
+let test_poset_star_size () =
+  let objs = List.init 2000 (fun i -> Printf.sprintf "o%d" i) in
+  let p =
+    P.make_exn
+      (List.map (fun n -> (n, [])) ("cwa" :: "base" :: objs))
+      (("base", "cwa") :: List.map (fun o -> (o, "base")) objs)
+  in
+  let n = P.n_components p in
+  let words = Obj.reachable_words (Obj.repr (P.poset p)) in
+  if words > 16 * n then
+    Alcotest.failf "poset of %d components holds %d words (> 16 per id)" n
+      words;
+  Alcotest.(check (list int)) "an object sees itself, base and cwa"
+    [ 0; 1; 2 ]
+    (Poset.above (P.poset p) (P.component_id_exn p "o0"))
+
 (* ------------------------------------------------------------------ *)
 (* Programs and views                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -285,6 +305,8 @@ let suite =
   [ Alcotest.test_case "poset closure" `Quick test_poset_closure;
     Alcotest.test_case "poset cycle rejection" `Quick test_poset_cycle;
     Alcotest.test_case "poset queries" `Quick test_poset_queries;
+    Alcotest.test_case "poset of a 2,000-object star stays small" `Quick
+      test_poset_star_size;
     Alcotest.test_case "program validation" `Quick test_program_errors;
     Alcotest.test_case "views C*" `Quick test_view;
     Alcotest.test_case "grounding a view" `Quick test_gop_grounding;
