@@ -30,11 +30,12 @@ test:
 # equally).  Then the compiled-kernel benchmark (flat-array kernel vs
 # the pruned search, same model lists): writes BENCH_PR9.json and
 # fails if the scaled workload's pruned/compiled wall ratio falls
-# below the floor (PR 9 baseline: 2.0; floor at half) or the compiled
-# median overshoots the ceiling.  See docs/PERFORMANCE.md.
+# below the floor or the compiled median overshoots the ceiling.  The
+# floor is 2.0: with the kernel's own leaf check ten runs read 2.33 to
+# 4.00, without it the ratio is about 1.8.  See docs/PERFORMANCE.md.
 bench:
 	dune exec bench/enum.exe -- --min-ratio 300 --max-wall-ms 250
-	dune exec bench/solve_bench.exe -- --min-wall-ratio 1.0 --max-wall-ms 250
+	dune exec bench/solve_bench.exe -- --min-wall-ratio 2.0 --max-wall-ms 250
 
 # Preference benchmark (compiled preferences vs the naive
 # refined-grounding oracle, scaled prioritized-defaults workloads),

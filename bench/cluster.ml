@@ -248,6 +248,10 @@ let chain_reads ~clients ~per_client targets =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  (* servers, replica links and clients share this process: a write to a
+     connection the other end already closed must come back as EPIPE,
+     which they handle, not kill the bench — as in [olp serve] *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let quick = ref false in
   let out = ref "BENCH_PR6.json" in
   let rec parse = function

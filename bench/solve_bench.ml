@@ -6,9 +6,12 @@
    Both engines enumerate the same model lists in the same order, so the
    interesting numbers are wall time and visited nodes.  For every
    workload and both engines it reports the median wall time of several
-   runs plus the (deterministic) search counters of one run; the
+   runs, split into its compile step ([Flat.compile]; none for pruned)
+   and its search (the kernel on a precompiled flat program), plus the
+   (deterministic) search counters of one run; the
    "ratios" section divides pruned by compiled per workload — wall ratio
-   (> 1 means the kernel is faster) and node ratio (>= 1 always: the
+   (> 1 means the kernel is faster), search ratio (the same without the
+   kernel's compile step) and node ratio (>= 1 always: the
    kernel visits no more nodes, and strictly fewer where learned nogoods
    cut conflict-heavy subtrees).  "summary.scaled" names the large
    workload whose wall ratio the trajectory tracks.
@@ -75,17 +78,19 @@ type row = {
   r_engine : string;  (* pruned | compiled *)
   r_runs : int;
   r_median_ns : int;
+  r_compile_ns : int;  (* median [Flat.compile]; 0 for pruned *)
+  r_search_ns : int;  (* median search on the compiled program *)
   r_stats : C.t;
   r_models : int;
 }
 
-let enumerate kind engine ?stats g =
+let enumerate kind engine ?stats ?flat g =
   let result =
     match kind, engine with
     | Af, `Pruned -> Ordered.Stable.assumption_free_models ?stats g
-    | Af, `Compiled -> Solve.Kernel.assumption_free_models ?stats g
+    | Af, `Compiled -> Solve.Kernel.assumption_free_models ?stats ?flat g
     | Total, `Pruned -> Ordered.Exhaustive.total_models ?stats g
-    | Total, `Compiled -> Solve.Kernel.total_models ?stats g
+    | Total, `Compiled -> Solve.Kernel.total_models ?stats ?flat g
   in
   List.length (B.value result)
 
@@ -98,16 +103,27 @@ let measure s engine =
   let g = Lazy.force s.gop in
   let stats = C.create () in
   let models = enumerate s.kind engine ~stats g in
-  let sample () =
+  let time f =
     let t0 = Unix.gettimeofday () in
-    ignore (enumerate s.kind engine g : int);
+    f ();
     int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
   in
-  let samples = List.init s.runs (fun _ -> sample ()) in
+  let samples f = median (List.init s.runs (fun _ -> time f)) in
+  let whole = samples (fun () -> ignore (enumerate s.kind engine g : int)) in
+  let compile, search =
+    match engine with
+    | `Pruned -> (0, whole)
+    | `Compiled ->
+      let flat = Solve.Flat.compile g in
+      ( samples (fun () -> ignore (Solve.Flat.compile g : Solve.Flat.t)),
+        samples (fun () -> ignore (enumerate s.kind engine ~flat g : int)) )
+  in
   { r_workload = s.w_name;
     r_engine = (match engine with `Pruned -> "pruned" | `Compiled -> "compiled");
     r_runs = s.runs;
-    r_median_ns = median samples;
+    r_median_ns = whole;
+    r_compile_ns = compile;
+    r_search_ns = search;
     r_stats = stats;
     r_models = models
   }
@@ -173,8 +189,10 @@ let () =
       p.r_median_ns,
       c.r_median_ns,
       p.r_stats.C.nodes,
-      c.r_stats.C.nodes )
+      c.r_stats.C.nodes,
+      float_of_int p.r_search_ns /. float_of_int (max 1 c.r_search_ns) )
   in
+  let ms ns = float_of_int ns /. 1e6 in
   let ratios = List.map ratio specs in
   let oc = open_out !out in
   let p fmt = Printf.fprintf oc fmt in
@@ -185,11 +203,13 @@ let () =
     (fun i r ->
       p
         "    {\"workload\": \"%s\", \"engine\": \"%s\", \"runs\": %d, \
-         \"median_ns\": %d, \"models\": %d, \"nodes\": %d, \"leaves\": %d, \
+         \"median_ns\": %d, \"compile_ms\": %.3f, \"search_ms\": %.3f, \
+         \"models\": %d, \"nodes\": %d, \"leaves\": %d, \
          \"prunes\": %d, \"forced\": %d, \"propagations\": %d, \
          \"conflicts\": %d, \"learned\": %d, \"evicted\": %d, \
          \"restarts\": %d}%s\n"
-        r.r_workload r.r_engine r.r_runs r.r_median_ns r.r_models
+        r.r_workload r.r_engine r.r_runs r.r_median_ns (ms r.r_compile_ns)
+        (ms r.r_search_ns) r.r_models
         r.r_stats.C.nodes r.r_stats.C.leaves r.r_stats.C.prunes
         r.r_stats.C.forced r.r_stats.C.propagations r.r_stats.C.conflicts
         r.r_stats.C.learned r.r_stats.C.evicted r.r_stats.C.restarts
@@ -197,21 +217,21 @@ let () =
     rows;
   p "  ],\n  \"ratios\": [\n";
   List.iteri
-    (fun i (name, pns, cns, pn, cn) ->
+    (fun i (name, pns, cns, pn, cn, search_ratio) ->
       p
         "    {\"workload\": \"%s\", \"pruned_median_ns\": %d, \
          \"compiled_median_ns\": %d, \"wall_ratio\": %.2f, \
-         \"pruned_nodes\": %d, \"compiled_nodes\": %d, \
-         \"node_ratio\": %.2f}%s\n"
+         \"search_ratio\": %.2f, \"pruned_nodes\": %d, \
+         \"compiled_nodes\": %d, \"node_ratio\": %.2f}%s\n"
         name pns cns
         (float_of_int pns /. float_of_int (max 1 cns))
-        pn cn
+        search_ratio pn cn
         (float_of_int pn /. float_of_int (max 1 cn))
         (if i = List.length ratios - 1 then "" else ","))
     ratios;
   let scaled = scaled_of !quick in
-  let _, pns, cns, pn, cn =
-    List.find (fun (n, _, _, _, _) -> n = scaled) ratios
+  let _, pns, cns, pn, cn, _ =
+    List.find (fun (n, _, _, _, _, _) -> n = scaled) ratios
   in
   let wall_ratio = float_of_int pns /. float_of_int (max 1 cns) in
   p

@@ -282,21 +282,24 @@ let models_cmd =
                 [ ("pruned", `Pruned); ("naive", `Naive);
                   ("compiled", `Compiled)
                 ])
-             `Pruned
+             `Compiled
          & info [ "search" ] ~docv:"SEARCH"
-             ~doc:"Enumeration engine: $(b,pruned) (branch-and-propagate, \
-                   default), $(b,naive) (leaf-check oracle) or \
-                   $(b,compiled) (flat-array kernel with watched-literal \
-                   propagation and conflict-driven nogood learning — same \
-                   models and order as $(b,pruned), fewer visited nodes).")
+             ~doc:"Enumeration engine: $(b,compiled) (default: flat-array \
+                   kernel with watched-literal propagation, conflict-driven \
+                   nogood learning and a leaf check read off its counters), \
+                   $(b,pruned) (map-walking branch-and-propagate — same \
+                   models and order as $(b,compiled), never fewer visited \
+                   nodes) or $(b,naive) (leaf-check oracle).  With \
+                   $(b,--max-steps), the partial prefix follows the chosen \
+                   engine's ticks.")
   in
   let stats_flag =
     Arg.(value & flag
          & info [ "stats" ]
              ~doc:"Print search-effort counters (nodes, leaves, prunes, \
-                   forced, models; with $(b,--search compiled) also \
-                   propagations, conflicts, learned/evicted nogoods and \
-                   restarts) on stderr after the models.")
+                   forced, models; with the default $(b,--search compiled) \
+                   also propagations, conflicts, learned/evicted nogoods \
+                   and restarts) on stderr after the models.")
   in
   let prefer =
     Arg.(value

@@ -601,7 +601,7 @@ let query ?budget t ~obj l =
 let query_src ?budget t ~obj src =
   query ?budget t ~obj (Lang.Parser.parse_literal src)
 
-let models kind ?limit ?budget ?(engine = `Pruned) ?stats t ~obj =
+let models kind ?limit ?budget ?(engine = `Compiled) ?stats t ~obj =
   let v = current t in
   let compute () =
     let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
@@ -678,7 +678,7 @@ let prefer_gop ?budget ?metrics t ~obj =
   | None -> record_miss t);
   prefer_gop_of ?budget ?metrics v ~obj
 
-let preferred_models ?limit ?budget ?(engine = `Compiled) ?(search = `Pruned)
+let preferred_models ?limit ?budget ?(engine = `Compiled) ?(search = `Compiled)
     ?stats ?metrics t ~obj =
   let v = current t in
   let key = (obj, Preferred { limit; engine; search }) in

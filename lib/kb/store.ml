@@ -298,14 +298,14 @@ let query ?budget kb ~obj l =
 let query_src ?budget kb ~obj src =
   query ?budget kb ~obj (Lang.Parser.parse_literal src)
 
-let stable_models ?limit ?budget ?(engine = `Pruned) ?stats kb ~obj =
+let stable_models ?limit ?budget ?(engine = `Compiled) ?stats kb ~obj =
   let g = gop ?budget kb ~obj in
   match engine with
   | `Pruned -> Ordered.Stable.stable_models ?limit ?budget ?stats g
   | `Naive -> Ordered.Stable.Naive.stable_models ?limit ?budget ?stats g
   | `Compiled -> Solve.Kernel.stable_models ?limit ?budget ?stats g
 
-let assumption_free_models ?limit ?budget ?(engine = `Pruned) ?stats kb ~obj =
+let assumption_free_models ?limit ?budget ?(engine = `Compiled) ?stats kb ~obj =
   let g = gop ?budget kb ~obj in
   match engine with
   | `Pruned -> Ordered.Stable.assumption_free_models ?limit ?budget ?stats g
@@ -337,7 +337,7 @@ let prefer_gop ?budget kb ~obj =
     kb.pcache <- (obj, g) :: kb.pcache;
     g
 
-let preferred_models ?limit ?budget ?(engine = `Compiled) ?(search = `Pruned)
+let preferred_models ?limit ?budget ?(engine = `Compiled) ?(search = `Compiled)
     ?stats kb ~obj =
   match engine with
   | `Compiled -> (

@@ -161,12 +161,12 @@ val stable_models :
   Logic.Interp.t list Ordered.Budget.anytime
 (** Anytime, like {!Ordered.Stable.stable_models}: a [Partial] result
     carries the stable models found before the budget ran out.
-    [engine] selects the branch-and-propagate search ([`Pruned], the
-    default), the leaf-check oracle ([`Naive]) — same model set,
-    different enumeration order — or the compiled flat-array kernel
-    ([`Compiled], {!Solve.Kernel}) — same model set {e and} same
-    enumeration order as [`Pruned], fewer visited nodes; [stats]
-    accumulates search effort. *)
+    [engine] selects the compiled flat-array kernel ([`Compiled], the
+    default, {!Solve.Kernel}), the map-walking branch-and-propagate
+    search ([`Pruned]) — same model set {e and} same enumeration order,
+    never fewer visited nodes — or the leaf-check oracle ([`Naive]) —
+    same model set, different enumeration order; [stats] accumulates
+    search effort. *)
 
 val assumption_free_models :
   ?limit:int ->
@@ -196,8 +196,8 @@ val preferred_models :
     default) evaluates the {!Prefer.Compile} translation; [`Naive] runs
     the {!Prefer.Naive} oracle — same model set, different enumeration
     order.  [search] picks the stable-model engine used on the compiled
-    translation ([`Pruned], the default; [`Compiled] for the flat-array
-    kernel — same models and order, fewer nodes); it is ignored by the
+    translation ([`Compiled], the flat-array kernel, by default;
+    [`Pruned] gives the same models and order); it is ignored by the
     naive route.  Raises {!Ordered.Diag.Error} if a preference names a
     rule absent from this view. *)
 

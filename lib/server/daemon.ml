@@ -50,7 +50,7 @@ type t = {
   mutable stopping : bool;
   lock : Mutex.t;  (* guards [stopping], [conns], [readers] *)
   mutable conns : Unix.file_descr list;
-  mutable readers : Thread.t list;
+  mutable readers : Thread.t list;  (* live readers; each removes itself *)
   mutable on_drain : (unit -> unit) option;
 }
 
@@ -270,9 +270,19 @@ let reader t fd =
   in
   loop ();
   (try Unix.close fd with Unix.Unix_error _ -> ());
+  (* the accept loop adds this thread under the same lock, so it is in
+     [readers] by now; the drain joins only the readers still listed *)
+  let self = Thread.id (Thread.self ()) in
   Mutex.lock t.lock;
   t.conns <- List.filter (fun c -> c != fd) t.conns;
+  t.readers <- List.filter (fun th -> Thread.id th <> self) t.readers;
   Mutex.unlock t.lock
+
+let live_readers t =
+  Mutex.lock t.lock;
+  let n = List.length t.readers in
+  Mutex.unlock t.lock;
+  n
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop and drain                                               *)

@@ -92,6 +92,11 @@ val on_drain : t -> (unit -> unit) -> unit
 val serve : t -> unit
 (** Run the accept loop until {!stop}; drains before returning. *)
 
+val live_readers : t -> int
+(** Reader threads whose connection has not ended yet.  A reader leaves
+    the count when its client disconnects, so connection churn does not
+    grow it. *)
+
 val stop : t -> unit
 (** Request shutdown (thread- and signal-safe, idempotent). *)
 

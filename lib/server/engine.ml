@@ -159,8 +159,10 @@ let kind_to_string = function
 let prefer_to_string = function `Compiled -> "compiled" | `Naive -> "naive"
 
 (* Per-request solver counters, folded into the server metrics after the
-   search returns (only the compiled kernel sets them, so pruned/naive
-   traffic leaves the stats line untouched). *)
+   search returns.  Only the compiled kernel sets them; it is the default
+   search, so every models and preferred request that misses the cache
+   moves them, and only requests naming "pruned" or "naive" leave the
+   stats line untouched. *)
 let record_solver t (c : Ordered.Counters.t) =
   if Ordered.Counters.has_solver c then begin
     M.add t.metrics "solver_propagations" c.propagations;

@@ -350,7 +350,7 @@ and request = { id : int option; budget : budget_spec; verb : verb }
 
 and batch_item = (request, string) result
 
-let package_version = "1.7.0"
+let package_version = "1.8.0"
 let protocol_revision = 7
 let max_batch = 256
 
@@ -442,7 +442,7 @@ let rec decode_verb o = function
       | Some "assumption-free" -> `Af
       | Some k -> reject "unknown models kind %S" k
     in
-    let engine = Option.value ~default:`Pruned (search_field o) in
+    let engine = Option.value ~default:`Compiled (search_field o) in
     let prefer = prefer_field o in
     if prefer <> None && kind = `Af then
       reject "\"prefer\" applies to stable models only (kind \"stable\")";

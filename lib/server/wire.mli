@@ -71,8 +71,9 @@ type verb =
       (** with [prefer], the skeptical value of [lit] across the
           preferred models (under the KB's preference pairs) instead of
           its least-model value; [search] then picks the stable-model
-          engine used on the compiled preference translation (sending
-          it without [prefer] is a request error) *)
+          engine used on the compiled preference translation (left
+          out, the compiled kernel; sending it without [prefer] is a
+          request error) *)
   | Models of {
       obj : string;
       kind : [ `Stable | `Af ];
@@ -81,8 +82,11 @@ type verb =
       prefer : [ `Compiled | `Naive ] option;
     }
       (** [engine] comes from the canonical ["search"] field (legacy
-          alias ["engine"]; ["compiled"] selects the flat-array
-          kernel).  With [prefer] (["compiled"] or ["naive"]),
+          alias ["engine"]); left out, it is [`Compiled], the flat-array
+          kernel.  A ["max_steps"] budget counts the chosen engine's
+          ticks, so the partial prefix it buys follows the kernel's
+          propagation events and nodes by default.  With [prefer]
+          (["compiled"] or ["naive"]),
           enumerate the preferred models through the chosen route —
           ["search"] then applies to the compiled route's stable
           search — and combining [prefer] with the assumption-free

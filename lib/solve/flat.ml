@@ -27,6 +27,8 @@ type t = {
   n_sup : int array;  (* rule -> number of suppressors (over- + defeat-) *)
   sup_of_off : int array;  (* rule -> offset into sup_of_rule *)
   sup_of_rule : int array;  (* suppressors of the rule, lowest rank first *)
+  over_off : int array;  (* rule -> offset into over_rule *)
+  over_rule : int array;  (* the rule's overrulers alone, ascending *)
   suppresses_off : int array;  (* rule -> offset into suppresses_rule *)
   suppresses_rule : int array;  (* rules this rule suppresses *)
   rank : int array;  (* rule -> rank of its component in the order *)
@@ -114,6 +116,14 @@ let compile (g : Ordered.Gop.t) =
   let sup_of_off, sup_of_rule =
     csr_of_lists n_rules (Array.sub sup_rows 0 n_rules)
   in
+  (* Definition 3(a) asks for an applied {e overruler}, so the leaf check
+     needs the overrulers apart from the defeaters they share
+     [sup_of_rule] with. *)
+  let over_off, over_rule =
+    csr_of_lists n_rules
+      (Array.map (fun l -> List.sort compare l)
+         (Array.sub g.Ordered.Gop.overrulers 0 n_rules))
+  in
   let n_sup =
     Array.init (max 1 n_rules) (fun i ->
         if i < n_rules then sup_of_off.(i + 1) - sup_of_off.(i) else 0)
@@ -151,6 +161,8 @@ let compile (g : Ordered.Gop.t) =
     n_sup;
     sup_of_off;
     sup_of_rule;
+    over_off;
+    over_rule;
     suppresses_off;
     suppresses_rule;
     rank;

@@ -25,6 +25,8 @@ type t = {
   n_sup : int array;
   sup_of_off : int array;
   sup_of_rule : int array;
+  over_off : int array;
+  over_rule : int array;
   suppresses_off : int array;
   suppresses_rule : int array;
   rank : int array;

@@ -1,7 +1,6 @@
 open Logic
 module Gop = Ordered.Gop
 module Vfix = Ordered.Vfix
-module Model = Ordered.Model
 module Budget = Ordered.Budget
 module Counters = Ordered.Counters
 module Diag = Ordered.Diag
@@ -59,7 +58,6 @@ type state = {
   budget : Budget.t;
   stats : Counters.t;
   value : int array;  (* 0 undefined, 1 true, 2 false — Values codes *)
-  vals : Gop.Values.t;  (* zero-copy view of [value] for the model checks *)
   frozen : bool array;
   reason : int array;  (* deriving rule, or -1 for seed/decision *)
   alevel : int array;  (* decision level of the assignment, -1 unassigned *)
@@ -83,6 +81,10 @@ type state = {
   full : unit -> bool;
   emit : unit -> unit;
   seen : bool array;  (* scratch for the conflict analysis *)
+  missing : int array;  (* leaf check: undischarged body literals, or -1 *)
+  reached : bool array;  (* leaf check: atoms the closure has derived *)
+  closure : int array;  (* leaf check: derived atoms, in derivation order *)
+  mutable n_reached : int;
 }
 
 let nogood_cap = 512
@@ -375,6 +377,95 @@ let all_groundable s =
   in
   go 0
 
+(* The leaf check, read off the propagated state with no allocation.  A
+   leaf's trail is fully propagated and conflict-free, so every rule
+   whose body holds ([sat] = body length) and whose suppressors are all
+   blocked ([act_sup] = 0) has fired: its head holds.  That invariant
+   settles part of Definition 3 before any check runs:
+
+   - (b) holds at every leaf: an applicable, unsuppressed rule about an
+     undefined atom would have fired, or conflicted on the frozen atom.
+   - (a) follows from assumption-freeness: a literal the closure below
+     reaches has an enabled rule [e] for it.  A rule [r] contradicting
+     it that is not blocked cannot suppress [e] (every suppressor of [e]
+     is blocked), so [C(e) < C(r)] and [e] is an applied overruler of
+     [r].
+
+   An assumption-free leaf therefore needs only the closure (Theorem
+   1(a)), and a total leaf — every atom defined, assumption-freeness not
+   asked — only (a).  {!Ordered.Model.is_assumption_free_v} and
+   {!Ordered.Model.is_model_v} check the same properties from scratch
+   for the pruned engines and the oracles. *)
+
+(* Definition 3(a) on a total leaf, where every atom is defined: a rule
+   contradicting a literal is blocked or has an applied overruler.  The
+   overruler's head is the literal itself, which holds, so applied means
+   its body holds. *)
+let rec applied_overruler s k stop =
+  k < stop
+  &&
+  let o = s.f.Flat.over_rule.(k) in
+  s.sat.(o) = s.f.Flat.body_len.(o) || applied_overruler s (k + 1) stop
+
+let rec model_leaf s r =
+  let f = s.f in
+  r >= f.Flat.n_rules
+  ||
+  ((s.value.(f.Flat.head.(r)) = 1) = f.Flat.head_pol.(r)
+  || s.blocker.(r) >= 0
+  || applied_overruler s f.Flat.over_off.(r) f.Flat.over_off.(r + 1))
+  && model_leaf s (r + 1)
+
+let reach s a =
+  if not s.reached.(a) then begin
+    s.reached.(a) <- true;
+    s.closure.(s.n_reached) <- a;
+    s.n_reached <- s.n_reached + 1
+  end
+
+(* Assumption-freeness (Theorem 1(a)): the positive closure of the
+   enabled rules — applied and unsuppressed, which at a leaf is exactly
+   [sat] = body length and [act_sup] = 0 — reaches every defined atom.
+   The closure derives only heads of applied rules, so it never leaves
+   the leaf's literals; counting the reached atoms against the defined
+   ones decides equality. *)
+let assumption_free_leaf s =
+  let f = s.f in
+  s.n_reached <- 0;
+  for r = 0 to f.Flat.n_rules - 1 do
+    if s.sat.(r) = f.Flat.body_len.(r) && s.act_sup.(r) = 0 then begin
+      s.missing.(r) <- f.Flat.body_len.(r);
+      if f.Flat.body_len.(r) = 0 then reach s f.Flat.head.(r)
+    end
+    else s.missing.(r) <- -1
+  done;
+  let i = ref 0 in
+  while !i < s.n_reached do
+    let a = s.closure.(!i) in
+    let c = Flat.code a (s.value.(a) = 1) in
+    for k = f.Flat.occ_off.(c) to f.Flat.occ_off.(c + 1) - 1 do
+      let r = f.Flat.occ_rule.(k) in
+      if s.missing.(r) > 0 then begin
+        s.missing.(r) <- s.missing.(r) - 1;
+        if s.missing.(r) = 0 then reach s f.Flat.head.(r)
+      end
+    done;
+    incr i
+  done;
+  for k = 0 to s.n_reached - 1 do
+    s.reached.(s.closure.(k)) <- false
+  done;
+  let defined = ref 0 in
+  for a = 0 to f.Flat.n_atoms - 1 do
+    if s.value.(a) <> 0 then incr defined
+  done;
+  s.n_reached = !defined
+
+let leaf_ok s =
+  match s.mode with
+  | Af -> assumption_free_leaf s
+  | Total -> model_leaf s 0
+
 (* One search node — the same shape as [Stable.node] / the total-model
    search, with the propagation for the node's decision already done by
    [branch] below.  The node and effort counters move identically to the
@@ -414,7 +505,7 @@ let rec cnode s i =
       let j = next i in
       if j < 0 then begin
         s.stats.Counters.leaves <- s.stats.Counters.leaves + 1;
-        s.emit ()
+        if leaf_ok s then s.emit ()
       end
       else begin
         let a, can_pos, can_neg = s.branch.(j) in
@@ -448,19 +539,13 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
     let full () =
       match limit with Some l -> !count >= l | None -> false
     in
-    (* Leaves are kept as copies of the live code array; the callers
-       below convert them (or, for stable models, only the maximal ones). *)
-    let accepts =
-      match mode with
-      | Af -> Model.is_assumption_free_v g
-      | Total -> Model.is_model_v g
-    in
+    (* Accepted leaves are kept as copies of the live code array; the
+       callers below convert them (or, for stable models, only the
+       maximal ones). *)
     let emit () =
-      if accepts vals then begin
-        incr count;
-        stats.Counters.models <- stats.Counters.models + 1;
-        acc := Gop.Values.copy vals :: !acc
-      end
+      incr count;
+      stats.Counters.models <- stats.Counters.models + 1;
+      acc := Gop.Values.copy vals :: !acc
     in
     let s =
       { f;
@@ -468,7 +553,6 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
         budget;
         stats;
         value;
-        vals;
         frozen = Array.make (max 1 na) false;
         reason = Array.make (max 1 na) (-1);
         alevel = Array.make (max 1 na) (-1);
@@ -491,7 +575,11 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
         branch = [||];
         full;
         emit;
-        seen = Array.make (max 1 na) false
+        seen = Array.make (max 1 na) false;
+        missing = Array.make (max 1 nr) (-1);
+        reached = Array.make (max 1 na) false;
+        closure = Array.make (max 1 na) 0;
+        n_reached = 0
       }
     in
     (* Adopt the level-0 fixpoint and run it through the propagator once,

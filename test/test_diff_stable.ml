@@ -19,7 +19,9 @@
    - the pruned search only emits assumption-free models and starts with
      the least model;
    - on compiled preference programs ([Prefer.Compile]), the compiled
-     kernel agrees with the pruned preferred-model route.
+     kernel agrees with the pruned preferred-model route;
+   - golden leaves that exactly one leaf-check condition rejects, and
+     the empty program, give the same answers on all three engines.
 
    The generators cover random ordered programs (up to 3 components,
    negative heads, overruling/defeating) and OV-transformed seminegative
@@ -321,8 +323,105 @@ let prop_compiled_prefer =
       && interp_set_equal (st_comp g)
            (B.value (Prefer.Compile.preferred_models c)))
 
+(* Golden leaves: each program's search reaches a leaf that exactly one
+   condition rejects.  The kernel checks Definition 3(a) only on total
+   leaves and only the enabled-rule closure on assumption-free ones —
+   there (a) follows from the closure, and (b) from the kernel's
+   propagation, which never reaches a (b)-violating leaf — while the
+   naive oracles check every condition on every candidate.  Each case
+   pins the compiled, pruned and naive answers and the leaf that only
+   the one condition rejects. *)
+
+let only_violation cond g m =
+  match Ordered.Model.violations g m with
+  | [ msg ] -> String.starts_with ~prefix:("condition (" ^ cond ^ ")") msg
+  | _ -> false
+
+let check_engines name expected ~comp ~pruned ~naive =
+  Alcotest.(check (list testable_interp)) (name ^ ": compiled") expected comp;
+  Alcotest.(check (list testable_interp)) (name ^ ": pruned") expected pruned;
+  Alcotest.check testable_interp_set (name ^ ": naive") expected naive
+
+(* (a), with the contradicting rule defeated but not overruled by an
+   applied rule: [-p.] in [top] is defeated by [p.] in the incomparable
+   [side], and its one overruler [p :- q.] is blocked when [q] is false.
+   A check that counted every unblocked suppressor — the kernel's merged
+   [act_sup] — would accept the leaves [{p, -q}] and [{-p, -q}]. *)
+let test_golden_condition_a () =
+  let g =
+    ground_at
+      (program
+         "component top { -p. } component side { p. } \
+          component bot extends top, side { p :- q. }")
+      "bot"
+  in
+  let stats = Ordered.Counters.create () in
+  check_engines "total models" [ interp [ "p"; "q" ] ]
+    ~comp:(tot_comp ~stats g) ~pruned:(tot_pruned g) ~naive:(tot_naive g);
+  Alcotest.(check (pair int int)) "kernel leaves, models" (3, 1)
+    (stats.Ordered.Counters.leaves, stats.Ordered.Counters.models);
+  Alcotest.(check bool) "{p, -q} fails (a) alone" true
+    (only_violation "a" g (interp [ "p"; "-q" ]))
+
+(* (b): after [p] and [-q] the rule [r :- p.] is applicable and
+   unsuppressed while [r] is undefined.  Every literal of [{p, -q}] is
+   derived by an enabled rule, so only (b) rejects it.  The naive oracle
+   meets it as a candidate; the kernel's propagation derives [r] first. *)
+let test_golden_condition_b () =
+  let g =
+    ground_at
+      (program
+         "component cwa { -q. } \
+          component main extends cwa { p :- -q. q :- -p. r :- p. }")
+      "main"
+  in
+  let m = interp [ "p"; "-q" ] in
+  check_engines "assumption-free models"
+    [ Interp.empty; interp [ "p"; "-q"; "r" ] ]
+    ~comp:(af_comp g) ~pruned:(af_pruned g) ~naive:(af_naive g);
+  Alcotest.(check bool) "{p, -q} fails (b) alone" true
+    (only_violation "b" g m);
+  Alcotest.(check bool) "{p, -q} is not assumption-free" false
+    (Ordered.Model.is_assumption_free g m)
+
+(* Assumption-freeness: the positive loop decided true is a model (no
+   condition of Definition 3 fails) but no enabled rule grounds it, so
+   only the closure rejects it and the least model [{}] is the one
+   assumption-free model. *)
+let test_golden_assumption_free () =
+  let g = ground_at (program "component main { p :- q. q :- p. }") "main" in
+  let stats = Ordered.Counters.create () in
+  check_engines "assumption-free models" [ Interp.empty ]
+    ~comp:(af_comp ~stats g) ~pruned:(af_pruned g) ~naive:(af_naive g);
+  Alcotest.(check int) "kernel leaves" 2 stats.Ordered.Counters.leaves;
+  let loop = interp [ "p"; "q" ] in
+  Alcotest.(check bool) "{p, q} is a model" true
+    (Ordered.Model.is_model g loop);
+  Alcotest.(check bool) "{p, q} is not assumption-free" false
+    (Ordered.Model.is_assumption_free g loop)
+
+(* The empty program's one leaf is the empty assignment, and the kernel
+   pads its arrays to one slot: the leaf check must count the program's
+   atoms, not the slots, or it loses the least model [{}]. *)
+let test_golden_empty () =
+  let g = ground_at (program "component main { }") "main" in
+  check_engines "assumption-free models" [ Interp.empty ] ~comp:(af_comp g)
+    ~pruned:(af_pruned g) ~naive:(af_naive g);
+  check_engines "stable models" [ Interp.empty ] ~comp:(st_comp g)
+    ~pruned:(st_pruned g) ~naive:(st_naive g);
+  check_engines "total models" [ Interp.empty ] ~comp:(tot_comp g)
+    ~pruned:(tot_pruned g) ~naive:(tot_naive g)
+
 let suite =
-  [ prop_af_sets;
+  [ Alcotest.test_case "golden leaf: only (a) rejects" `Quick
+      test_golden_condition_a;
+    Alcotest.test_case "golden leaf: only (b) rejects" `Quick
+      test_golden_condition_b;
+    Alcotest.test_case "golden leaf: a model, not assumption-free" `Quick
+      test_golden_assumption_free;
+    Alcotest.test_case "golden leaf: the empty program" `Quick
+      test_golden_empty;
+    prop_af_sets;
     prop_stable_sets;
     prop_total_sets;
     prop_compiled_lists;

@@ -20,7 +20,7 @@ let src =
    r(X) :- p(X), not q(X). }\n\
    component leaf extends base { -r(1). }"
 
-let with_daemon f =
+let with_daemon_t f =
   let d =
     Server.Daemon.create
       { Server.Daemon.address = `Tcp ("127.0.0.1", 0);
@@ -38,7 +38,9 @@ let with_daemon f =
     Server.Daemon.stop d;
     Thread.join server
   in
-  Fun.protect ~finally (fun () -> f (Server.Daemon.address d))
+  Fun.protect ~finally (fun () -> f d)
+
+let with_daemon f = with_daemon_t (fun d -> f (Server.Daemon.address d))
 
 let connect_exn address =
   match Server.Client.connect ~retry:5. address with
@@ -363,6 +365,24 @@ let test_shutdown_drains () =
   (* the daemon drains on its own; with_daemon's stop is then a no-op *)
   Server.Client.close c
 
+(* Every connection gets a reader thread; a reader that has seen its
+   client go must leave the daemon's list, or the list grows with
+   churn for the daemon's whole life. *)
+let test_reader_churn () =
+  with_daemon_t @@ fun d ->
+  let address = Server.Daemon.address d in
+  for _ = 1 to 200 do
+    let c = connect_exn address in
+    ignore (request_exn c {|{"op":"version"}|});
+    Server.Client.close c
+  done;
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Server.Daemon.live_readers d > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check int) "no reader outlives its connection" 0
+    (Server.Daemon.live_readers d)
+
 let suite =
   [ Alcotest.test_case "concurrent clients with budgets" `Quick
       test_concurrent_budgets;
@@ -375,5 +395,7 @@ let suite =
     Alcotest.test_case "batch verb end to end" `Quick test_batch_verb;
     Alcotest.test_case "64-client batched smoke" `Quick
       test_many_clients_smoke;
-    Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains
+    Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
+    Alcotest.test_case "reader threads end with their connections" `Quick
+      test_reader_churn
   ]
